@@ -271,16 +271,12 @@ type AppService struct {
 	rngSeed int64
 	seedMix int64
 
-	stub *binder.LocalBinder
-	// transactor caches the dispatch closure handed to the driver; it
-	// binds only the AppService pointer, stable for a slab entry, so a
-	// recycled clone reuses it (see services.Service.transactor).
-	transactor binder.Transactor
-	regName    string
-	methods    map[binder.TxCode]catalog.AppInterface
-	codes      map[string]binder.TxCode
-	entries    map[string][]*appEntry
-	calls      uint64
+	stub    *binder.LocalBinder
+	regName string
+	methods map[binder.TxCode]catalog.AppInterface
+	codes   map[string]binder.TxCode
+	entries map[string][]*appEntry
+	calls   uint64
 }
 
 type appEntry struct {
@@ -349,8 +345,7 @@ func NewAppService(owner *App, d *binder.Driver, clock *simclock.Clock, reg *Ser
 		s.methods[code] = byName[n]
 		s.codes[n] = code
 	}
-	s.transactor = binder.TransactorFunc(s.onTransact)
-	s.stub = d.NewLocalBinder(proc, serviceClassOf(rows[0].Method), s.transactor)
+	s.stub = d.NewLocalBinder(proc, serviceClassOf(rows[0].Method), (*dispatcher)(s))
 	s.regName = AppServiceName(rows[0])
 	if err := reg.Publish(s.regName, s.stub); err != nil {
 		return nil, err
@@ -364,7 +359,6 @@ func NewAppService(owner *App, d *binder.Driver, clock *simclock.Clock, reg *Ser
 // order so driver ids replay identically. owner must be the clone
 // device's corresponding App.
 func (s *AppService) CloneInto(dst *AppService, owner *App, d *binder.Driver, clock *simclock.Clock, reg *ServiceRegistry, seed int64) error {
-	tr := dst.transactor
 	*dst = AppService{
 		owner:   owner,
 		clock:   clock,
@@ -375,13 +369,17 @@ func (s *AppService) CloneInto(dst *AppService, owner *App, d *binder.Driver, cl
 		codes:   s.codes,
 		calls:   s.calls,
 	}
-	if tr == nil {
-		tr = binder.TransactorFunc(dst.onTransact)
-	}
-	dst.transactor = tr
-	dst.stub = d.NewLocalBinder(owner.Start(), s.stub.Class(), tr)
+	dst.stub = d.NewLocalBinder(owner.Start(), s.stub.Class(), (*dispatcher)(dst))
 	return reg.Publish(dst.regName, dst.stub)
 }
+
+// dispatcher is the Transactor handed to the driver for an app service's
+// stub; converting the pointer allocates nothing, unlike a method-value
+// closure.
+type dispatcher AppService
+
+// OnTransact implements binder.Transactor.
+func (d *dispatcher) OnTransact(call *binder.Call) error { return (*AppService)(d).onTransact(call) }
 
 // rand returns the jitter rng, seeding it on first use.
 func (s *AppService) rand() *rand.Rand {

@@ -142,9 +142,9 @@ func ParseIPCRecord(line string) (IPCRecord, error) {
 // node is the driver-side identity of a local binder object.
 type node struct {
 	handle Handle
+	dead   bool
 	local  *LocalBinder
 	owner  *kernel.Process
-	dead   bool
 
 	// remoteRefs counts live proxies across all processes. While it is
 	// positive the owner's runtime holds a JGR on the local binder (the
@@ -238,12 +238,19 @@ type Driver struct {
 	nextObj      art.ObjectID
 	nextBinderID uint64
 	// nodes holds every node the driver has minted, indexed by handle-1:
-	// handles are issued densely from 1, so one slice replaces the three
-	// maps (by handle, by binder, by owner) this used to take. The
-	// binder→node edge lives on the LocalBinder itself; per-owner walks
-	// (process death only) scan the slice.
+	// handles are issued densely from 1, so one slice replaces the maps by
+	// handle and by binder this used to take. The binder→node edge lives
+	// on the LocalBinder itself.
 	nodes []*node
-	ctxs  map[kernel.Pid]*procContext
+	// nextOwned and owned thread each owner's nodes into a chain in
+	// handle order, so a process death visits only its own nodes:
+	// nextOwned[h-1] is the handle of the next node after h with the same
+	// owner (0 ends the chain), and owned maps an owner pid to its chain's
+	// (head, tail) handles. Both hold handles rather than pointers, so a
+	// rewind by NewReusing leaves nothing that keeps old slab blocks alive.
+	nextOwned []Handle
+	owned     map[kernel.Pid][2]Handle
+	ctxs      map[kernel.Pid]*procContext
 	// nodeSlab and lbSlab are block allocators for nodes and
 	// LocalBinders: boot (and every device clone) mints one of each per
 	// census service, and a block amortizes ~100 small heap allocations
@@ -341,21 +348,24 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 	var d *Driver
 	if prev != nil {
 		d = prev
+		clear(d.owned)
 		clear(d.ctxs)
 		clear(d.byPid)
 		clear(d.byUid)
 		*d = Driver{
-			k:        k,
-			cfg:      cfg,
-			clock:    k.Clock(),
-			nodes:    d.nodes[:0],
-			ctxs:     d.ctxs,
-			byPid:    d.byPid,
-			byUid:    d.byUid,
-			nodeSlab: d.nodeSlab[:0],
-			lbSlab:   d.lbSlab[:0],
-			pending:  logRing{buf: d.pending.buf},
-			flushed:  d.flushed[:0],
+			k:         k,
+			cfg:       cfg,
+			clock:     k.Clock(),
+			nodes:     d.nodes[:0],
+			nextOwned: d.nextOwned[:0],
+			owned:     d.owned,
+			ctxs:      d.ctxs,
+			byPid:     d.byPid,
+			byUid:     d.byUid,
+			nodeSlab:  d.nodeSlab[:0],
+			lbSlab:    d.lbSlab[:0],
+			pending:   logRing{buf: d.pending.buf},
+			flushed:   d.flushed[:0],
 		}
 	} else {
 		d = &Driver{
@@ -364,10 +374,12 @@ func NewReusing(prev *Driver, k *kernel.Kernel, cfg Config) *Driver {
 			clock: k.Clock(),
 			// Booting (or cloning) a device mints a node per census service;
 			// presizing skips the append-growth copies on that path.
-			nodes: make([]*node, 0, 128),
-			ctxs:  make(map[kernel.Pid]*procContext),
-			byPid: make(map[kernel.Pid][]int),
-			byUid: make(map[kernel.Uid][]int),
+			nodes:     make([]*node, 0, 128),
+			nextOwned: make([]Handle, 0, 128),
+			owned:     make(map[kernel.Pid][2]Handle),
+			ctxs:      make(map[kernel.Pid]*procContext),
+			byPid:     make(map[kernel.Pid][]int),
+			byUid:     make(map[kernel.Uid][]int),
 		}
 	}
 	k.OnKill(func(p *kernel.Process, _ string) { d.onProcessDeath(p) })
@@ -494,6 +506,18 @@ func (d *Driver) NewLocalBinder(proc *kernel.Process, class string, handler Tran
 	return lb
 }
 
+// Reserve makes room for n more nodes and local binders in the block
+// allocators, so a device clone, which knows its template's node count,
+// mints all of its stubs into one exactly sized block of each.
+func (d *Driver) Reserve(n int) {
+	if cap(d.nodeSlab)-len(d.nodeSlab) < n {
+		d.nodeSlab = make([]node, 0, n)
+	}
+	if cap(d.lbSlab)-len(d.lbSlab) < n {
+		d.lbSlab = make([]LocalBinder, 0, n)
+	}
+}
+
 // context returns (creating if needed) the per-process binder state.
 func (d *Driver) context(proc *kernel.Process) *procContext {
 	if c, ok := d.ctxs[proc.Pid()]; ok {
@@ -535,8 +559,17 @@ func (d *Driver) ensureNode(lb *LocalBinder) *node {
 	}
 	d.nodeSlab = d.nodeSlab[:len(d.nodeSlab)+1]
 	n := &d.nodeSlab[len(d.nodeSlab)-1]
-	*n = node{handle: Handle(len(d.nodes) + 1), local: lb, owner: lb.owner}
+	h := Handle(len(d.nodes) + 1)
+	*n = node{handle: h, local: lb, owner: lb.owner}
 	d.nodes = append(d.nodes, n)
+	d.nextOwned = append(d.nextOwned, 0)
+	pid := lb.owner.Pid()
+	if chain, ok := d.owned[pid]; ok {
+		d.nextOwned[chain[1]-1] = h
+		d.owned[pid] = [2]Handle{chain[0], h}
+	} else {
+		d.owned[pid] = [2]Handle{h, h}
+	}
 	lb.node = n
 	return n
 }
@@ -810,13 +843,22 @@ func (d *Driver) onProcessDeath(p *kernel.Process) {
 			}
 		}
 	}
-	for _, n := range d.nodes {
-		if n.dead || n.owner.Pid() != pid {
-			continue
-		}
+	// Detach the chain before walking it: a recipient that re-flattens
+	// one of this owner's binders mid-cascade mints a node on a fresh
+	// chain, which this death does not visit.
+	chain, ok := d.owned[pid]
+	if !ok {
+		return
+	}
+	delete(d.owned, pid)
+	for h := chain[0]; h != 0; h = d.nextOwned[h-1] {
+		n := d.nodes[h-1]
 		n.dead = true
 		n.ownerJGR = 0
-		links := append([]*DeathLink(nil), n.links...)
+		// Detaching the slice is enough: on a dead node, removeLink sees
+		// the nil list and linkToDeath refuses, so recipients cannot
+		// touch the links being fired.
+		links := n.links
 		n.links = nil
 		for _, dl := range links {
 			if dl.holder.proc.Alive() {

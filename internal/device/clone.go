@@ -96,6 +96,18 @@ func (d *Device) Snapshot() {
 	d.sealed = true
 	d.kern.Seal()
 	d.perms.Freeze()
+	if d.bootHandles == nil {
+		// Clones mint their stubs in the same order, so they get the
+		// same handles and can share this position index (a template
+		// that is itself a clone already holds it).
+		d.bootHandles = make(map[binder.Handle]int, len(d.svcOrder)+len(d.appOrder))
+		for i, name := range d.svcOrder {
+			d.bootHandles[d.driver.HandleOf(d.services[name].Stub())] = i
+		}
+		for i, name := range d.appOrder {
+			d.bootHandles[d.driver.HandleOf(d.appServices[name].Stub())] = len(d.svcOrder) + i
+		}
+	}
 }
 
 // Clone returns a copy-on-write clone of the device with the same seed.
@@ -195,12 +207,13 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			services:    svcMap,
 			appServices: appSvcMap,
 			handleIndex: handleIdx,
+			bootHandles: d.bootHandles,
 			svcSlab:     nd.svcSlab[:0],
 			appSlab:     nd.appSlab[:0],
 			appOrder:    nd.appOrder[:0],
 		}
 	} else {
-		nd = &Device{cfg: d.cfg, journal: trace.New(0)}
+		nd = &Device{cfg: d.cfg, journal: trace.New(0), bootHandles: d.bootHandles}
 	}
 	nd.cfg.Seed = seed
 	nd.clock = simclock.New()
@@ -253,6 +266,7 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 	dcfg.Metrics = nil
 	nd.driver = binder.NewReusing(nd.driver, nd.kern, dcfg)
 	nd.driver.SetRecorder(nd.rec)
+	nd.driver.Reserve(d.driver.NodeCount())
 	nd.sm = d.sm.Clone(nd.driver)
 
 	if nd.perms == nil {
@@ -283,7 +297,6 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 	// the census so the hot path never copies it.
 	if nd.services == nil {
 		nd.services = make(map[string]*services.Service, len(d.services))
-		nd.handleIndex = make(map[binder.Handle]handleEntry, len(d.handleIndex))
 	}
 	nd.svcOrder = d.svcOrder
 	if cap(nd.svcSlab) < len(d.svcOrder) {
@@ -291,15 +304,22 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 	} else {
 		nd.svcSlab = nd.svcSlab[:len(d.svcOrder)]
 	}
+	// Most services share system_server, so the host lookup is cached.
+	var tmplHost, host *kernel.Process
 	for i, name := range d.svcOrder {
 		tmpl := d.services[name]
 		if tmpl == nil {
 			return nil, fmt.Errorf("device: clone template missing service %s", name)
 		}
+		if tmpl.Host() != tmplHost {
+			tmplHost, host = tmpl.Host(), nd.hosts[tmpl.Host().Name()]
+		}
 		svc := &nd.svcSlab[i]
-		tmpl.CloneInto(svc, nd.hosts[tmpl.Host().Name()], nd.driver, nd.clock, nd.perms, seed)
+		tmpl.CloneInto(svc, host, nd.driver, nd.clock, nd.perms, seed)
 		nd.services[name] = svc
-		nd.handleIndex[nd.driver.HandleOf(svc.Stub())] = handleEntry{kind: "system", sys: svc, name: name}
+		if j, ok := nd.bootHandles[nd.driver.HandleOf(svc.Stub())]; !ok || j != i {
+			return nil, fmt.Errorf("device: clone replay gave service %s a different handle than the template", name)
+		}
 	}
 
 	// App services replay in recorded publish order.
@@ -323,7 +343,9 @@ func (d *Device) cloneWithSeed(seed int64, prev *Device) (*Device, error) {
 			return nil, fmt.Errorf("device: cloning app service %s: %w", name, err)
 		}
 		nd.appServices[name] = svc
-		nd.handleIndex[nd.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
+		if j, ok := nd.bootHandles[nd.driver.HandleOf(svc.Stub())]; !ok || j != len(nd.svcOrder)+i {
+			return nil, fmt.Errorf("device: clone replay gave app service %s a different handle than the template", name)
+		}
 	}
 
 	if got, want := nd.driver.NodeCount(), d.driver.NodeCount(); got != want {

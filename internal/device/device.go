@@ -117,9 +117,16 @@ type Device struct {
 	// svcOrder and appOrder record the service creation/publish order so
 	// a snapshot clone can replay the stubs and reproduce the template's
 	// driver ids without consulting (and copying) the catalog census.
-	svcOrder    []string
-	appOrder    []string
+	svcOrder []string
+	appOrder []string
+	// handleIndex maps the handles of service stubs minted on this device
+	// to their services, for Resolve. A clone leaves its boot-time stubs
+	// out: their handles are the template's, so it resolves them through
+	// bootHandles, shared read-only with the template, which maps each
+	// to its position in svcOrder and then appOrder, i.e. into svcSlab
+	// and appSlab. A soft reboot drops bootHandles with the stubs.
 	handleIndex map[binder.Handle]handleEntry
+	bootHandles map[binder.Handle]int
 	// svcSlab and appSlab are the clone replay's backing arrays (the
 	// services/appServices maps point into them); a slot recycle rewinds
 	// and refills them in place instead of allocating new slabs.
@@ -182,6 +189,32 @@ type resolveKey struct {
 type resolveResult struct {
 	target IPCTarget
 	ok     bool
+}
+
+// indexHandle records a service stub minted on this device for Resolve,
+// minting the stub's driver node if it has none yet.
+func (d *Device) indexHandle(stub *binder.LocalBinder, he handleEntry) {
+	if d.handleIndex == nil {
+		d.handleIndex = make(map[binder.Handle]handleEntry)
+	}
+	d.handleIndex[d.driver.HandleOf(stub)] = he
+}
+
+// handleEntryOf returns the service behind a stub handle: one minted on
+// this device, else one of a clone's boot-time stubs.
+func (d *Device) handleEntryOf(h binder.Handle) (handleEntry, bool) {
+	if he, ok := d.handleIndex[h]; ok {
+		return he, true
+	}
+	i, ok := d.bootHandles[h]
+	if !ok {
+		return handleEntry{}, false
+	}
+	if i < len(d.svcOrder) {
+		return handleEntry{kind: "system", sys: &d.svcSlab[i], name: d.svcOrder[i]}, true
+	}
+	i -= len(d.svcOrder)
+	return handleEntry{kind: "app", app: &d.appSlab[i], name: d.appOrder[i]}, true
 }
 
 // invalidateResolve drops the Resolve memo; callers must do this after
@@ -318,7 +351,7 @@ func (d *Device) publishThirdPartyServices() error {
 		}
 		d.appServices[name] = svc
 		d.appOrder = append(d.appOrder, name)
-		d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
+		d.indexHandle(svc.Stub(), handleEntry{kind: "app", app: svc, name: name})
 	}
 	d.invalidateResolve()
 	return nil
@@ -330,7 +363,8 @@ func (d *Device) startSystem() error {
 	d.hosts = make(map[string]*kernel.Process)
 	d.services = make(map[string]*services.Service)
 	d.svcOrder = nil
-	d.handleIndex = make(map[binder.Handle]handleEntry)
+	clear(d.handleIndex)
+	d.bootHandles = nil
 	d.invalidateResolve()
 
 	d.systemServer = d.kern.Spawn(kernel.SpawnConfig{
@@ -377,7 +411,7 @@ func (d *Device) startSystem() error {
 		}
 		d.services[meta.Name] = svc
 		d.svcOrder = append(d.svcOrder, meta.Name)
-		d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "system", sys: svc, name: meta.Name}
+		d.indexHandle(svc.Stub(), handleEntry{kind: "system", sys: svc, name: meta.Name})
 	}
 	d.invalidateResolve()
 	return nil
@@ -422,7 +456,7 @@ func (d *Device) publishPrebuiltServices() error {
 		}
 		d.appServices[name] = svc
 		d.appOrder = append(d.appOrder, name)
-		d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
+		d.indexHandle(svc.Stub(), handleEntry{kind: "app", app: svc, name: name})
 	}
 	d.invalidateResolve()
 	return nil
@@ -616,7 +650,7 @@ func (d *Device) RestartHost(name string) error {
 			return fmt.Errorf("device: restarting %s on %s: %w", meta.Name, name, err)
 		}
 		d.services[meta.Name] = svc
-		d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "system", sys: svc, name: meta.Name}
+		d.indexHandle(svc.Stub(), handleEntry{kind: "system", sys: svc, name: meta.Name})
 	}
 	d.invalidateResolve()
 	if d.rec != nil {
@@ -664,7 +698,7 @@ func (d *Device) RestartAppService(name string) error {
 		return fmt.Errorf("device: republishing %s: %w", name, err)
 	}
 	d.appServices[name] = svc
-	d.handleIndex[d.driver.HandleOf(svc.Stub())] = handleEntry{kind: "app", app: svc, name: name}
+	d.indexHandle(svc.Stub(), handleEntry{kind: "app", app: svc, name: name})
 	d.invalidateResolve()
 	d.journal.Add(d.clock.Now(), trace.KindNote, name, "supervisor restart")
 	d.fireServiceRestart("app", name)
@@ -696,7 +730,7 @@ func (d *Device) Resolve(rec binder.IPCRecord) (IPCTarget, bool) {
 }
 
 func (d *Device) resolveUncached(rec binder.IPCRecord) (IPCTarget, bool) {
-	he, ok := d.handleIndex[rec.Handle]
+	he, ok := d.handleEntryOf(rec.Handle)
 	if !ok {
 		return IPCTarget{}, false
 	}

@@ -146,9 +146,10 @@ const SystemServerName = "system_server"
 // A cloned kernel shares its template's process table as an immutable
 // frozen base: processes materialize into the clone's own table (procs)
 // only when a caller needs a mutable handle (Kill, Process, FindProcess,
-// Processes). Read-only scans — LMK accounting, RunningCount — walk the
-// frozen base directly, so a clone of a 400-process device costs a few
-// map allocations rather than 400 process + VM constructions.
+// Processes). LMK accounting and RunningCount read maintained totals, and
+// the remaining read-only scans walk the frozen base directly, so a clone
+// of a 400-process device costs a few map allocations rather than 400
+// process + VM constructions.
 type Kernel struct {
 	clock   *simclock.Clock
 	cfg     Config
@@ -165,6 +166,10 @@ type Kernel struct {
 	// gauge and a post-clone sanity check, both of which would otherwise
 	// scan the full process table.
 	running int
+	// appKB is the summed RSS of alive app-uid processes, maintained
+	// alongside running so the LMK check that follows every Spawn is O(1)
+	// instead of a walk over the overlay and the frozen base.
+	appKB int
 
 	softReboots int
 	lmkKills    int
@@ -261,6 +266,7 @@ func (k *Kernel) CloneReusing(prev *Kernel, clock *simclock.Clock, onSystemServe
 		softReboots: k.softReboots,
 		lmkKills:    k.lmkKills,
 		running:     k.running,
+		appKB:       k.appKB,
 		onKill:      onKill,
 	}
 	for pid, p := range procs {
@@ -420,6 +426,9 @@ func (k *Kernel) Spawn(cfg SpawnConfig) *Process {
 
 	k.procs[p.pid] = p
 	k.running++
+	if IsAppUid(p.uid) {
+		k.appKB += p.memoryKB
+	}
 	k.runLMK()
 	return p
 }
@@ -482,9 +491,7 @@ func (k *Kernel) Kill(pid Pid, reason string) error {
 		return ErrNoSuchProcess
 	}
 	p := k.materialize(pid)
-	p.alive = false
-	k.running--
-	p.exitReason = reason
+	k.markDead(p, reason)
 	// Death notifications fire in registration order; recipients may kill
 	// further processes (binder death cascades), which is safe because
 	// each Kill is idempotent per pid.
@@ -499,6 +506,17 @@ func (k *Kernel) Kill(pid Pid, reason string) error {
 		k.softReboot("system_server died: " + reason)
 	}
 	return nil
+}
+
+// markDead is the one alive→dead transition: it keeps the running and
+// appKB totals in step with the process table.
+func (k *Kernel) markDead(p *Process, reason string) {
+	p.alive = false
+	p.exitReason = reason
+	k.running--
+	if IsAppUid(p.uid) {
+		k.appKB -= p.memoryKB
+	}
 }
 
 // softReboot models Android's crash recovery: when system_server dies the
@@ -520,9 +538,7 @@ func (k *Kernel) softReboot(reason string) {
 		if !p.alive {
 			continue // already killed by an earlier victim's death cascade
 		}
-		p.alive = false
-		k.running--
-		p.exitReason = "soft reboot: " + reason
+		k.markDead(p, "soft reboot: "+reason)
 		for _, fn := range p.deathFns {
 			fn(p)
 		}
@@ -536,23 +552,14 @@ func (k *Kernel) softReboot(reason string) {
 	}
 }
 
-// appMemoryKB sums the RSS of alive app-uid processes.
-func (k *Kernel) appMemoryKB() int {
-	total := 0
-	k.each(func(p *Process) {
-		if p.alive && IsAppUid(p.uid) {
-			total += p.memoryKB
-		}
-	})
-	return total
-}
-
 // runLMK applies the low memory killer policy: while app memory exceeds
 // the budget, kill the app process with the highest oom_score_adj
 // (breaking ties by oldest start time), never touching processes with
 // adj <= 0. This mirrors Android's LMK victim selection (paper §VII).
+// The budget check reads the maintained appKB total; only an over-budget
+// device pays lmkVictim's scan.
 func (k *Kernel) runLMK() {
-	for k.appMemoryKB() > k.cfg.AppMemoryBudgetKB {
+	for k.appKB > k.cfg.AppMemoryBudgetKB {
 		victim := k.lmkVictim()
 		if victim == nil {
 			return // only unkillable processes left

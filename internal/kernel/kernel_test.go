@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -278,5 +280,149 @@ func TestIsAppUid(t *testing.T) {
 	}
 	if !IsAppUid(FirstAppUid) || !IsAppUid(10061) {
 		t.Fatal("app uid not classified as app")
+	}
+}
+
+// appMemoryKB is the scanning oracle for Kernel.appKB: it sums the RSS of
+// alive app-uid processes over the merged overlay + frozen view, the way
+// runLMK computed it before the total was maintained incrementally.
+func appMemoryKB(k *Kernel) int {
+	total := 0
+	k.each(func(p *Process) {
+		if p.alive && IsAppUid(p.uid) {
+			total += p.memoryKB
+		}
+	})
+	return total
+}
+
+// liveCount is the scanning oracle for RunningCount.
+func liveCount(k *Kernel) int {
+	n := 0
+	k.each(func(p *Process) {
+		if p.alive {
+			n++
+		}
+	})
+	return n
+}
+
+func checkTotals(t *testing.T, k *Kernel, where string) {
+	t.Helper()
+	if got, want := k.appKB, appMemoryKB(k); got != want {
+		t.Fatalf("%s: appKB = %d, scan = %d", where, got, want)
+	}
+	if got, want := k.RunningCount(), liveCount(k); got != want {
+		t.Fatalf("%s: RunningCount = %d, scan = %d", where, got, want)
+	}
+}
+
+// lifecycleStep applies one random process-lifecycle event: an app or
+// system spawn (which may trigger the LMK), a kill, a system_server death
+// (soft reboot) or, when cascades is set, a death notification that kills
+// another process when it fires.
+func lifecycleStep(rng *rand.Rand, k *Kernel, cascades bool) {
+	pick := func() Pid { return Pid(1 + rng.Intn(int(k.nextPid)-1)) }
+	switch r := rng.Intn(100); {
+	case r < 45:
+		uid := FirstAppUid + Uid(rng.Intn(50))
+		if rng.Intn(4) == 0 {
+			uid = Uid(rng.Intn(int(FirstAppUid)))
+		}
+		adjs := []int{ForegroundAppAdj, VisibleAppAdj, ServiceAdj, CachedAppMinAdj, CachedAppMaxAdj}
+		k.Spawn(SpawnConfig{
+			Name:        fmt.Sprintf("p%d", k.nextPid),
+			Uid:         uid,
+			OomScoreAdj: adjs[rng.Intn(len(adjs))],
+			MemoryKB:    rng.Intn(3) * rng.Intn(2*DefaultAppMemoryKB),
+		})
+	case r < 80:
+		k.Kill(pick(), "test")
+	case r < 85:
+		if ss := k.FindProcess(SystemServerName); ss != nil {
+			k.Kill(ss.Pid(), "test")
+		}
+	case cascades:
+		if p := k.Process(pick()); p != nil {
+			victim := pick()
+			p.NotifyDeath(func(*Process) { k.Kill(victim, "cascade") })
+		}
+	}
+}
+
+// TestIncrementalTotalsMatchScan drives seeded Spawn / Kill / soft-reboot
+// sequences through a booted kernel, its sealed template and a chain of
+// Clone / CloneReusing clones, asserting after every step that the
+// maintained appKB and running totals equal a scan of the process table.
+func TestIncrementalTotalsMatchScan(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// The budget fits a handful of default apps, so the LMK fires
+		// often and its kills feed the totals too.
+		cfg := Config{AppMemoryBudgetKB: (4 + rng.Intn(4)) * DefaultAppMemoryKB}
+		restart := func(k **Kernel) func(string) {
+			return func(string) {
+				(*k).Spawn(SpawnConfig{Name: SystemServerName, Uid: SystemUid, OomScoreAdj: SystemAdj})
+				for i := 0; i < 2; i++ {
+					(*k).Spawn(SpawnConfig{Name: "filler", Uid: FirstAppUid + Uid(i), OomScoreAdj: CachedAppMinAdj})
+				}
+			}
+		}
+		var tmpl *Kernel
+		cfg.OnSystemServerDeath = restart(&tmpl)
+		tmpl = New(simclock.New(), cfg)
+		tmpl.Spawn(SpawnConfig{Name: SystemServerName, Uid: SystemUid, OomScoreAdj: SystemAdj})
+		for step := 0; step < 60; step++ {
+			lifecycleStep(rng, tmpl, false)
+			checkTotals(t, tmpl, fmt.Sprintf("seed %d template step %d", seed, step))
+		}
+		tmpl.Seal()
+		checkTotals(t, tmpl, fmt.Sprintf("seed %d sealed", seed))
+		sealedKB, sealedRunning := tmpl.appKB, tmpl.running
+
+		var clone, prev *Kernel
+		for round := 0; round < 6; round++ {
+			if round%2 == 0 {
+				clone = tmpl.Clone(simclock.New(), restart(&clone))
+			} else {
+				clone = tmpl.CloneReusing(prev, simclock.New(), restart(&clone))
+			}
+			checkTotals(t, clone, fmt.Sprintf("seed %d round %d clone", seed, round))
+			for step := 0; step < 80; step++ {
+				lifecycleStep(rng, clone, true)
+				checkTotals(t, clone, fmt.Sprintf("seed %d round %d step %d", seed, round, step))
+			}
+			prev = clone
+		}
+		checkTotals(t, tmpl, fmt.Sprintf("seed %d template after clones", seed))
+		if tmpl.appKB != sealedKB || tmpl.running != sealedRunning {
+			t.Fatalf("seed %d: clones mutated the sealed template's totals", seed)
+		}
+	}
+}
+
+// BenchmarkSpawn prices one app Spawn (including its LMK check) on a
+// kernel already running the given number of live processes. The LMK
+// check reads a maintained total, so the per-spawn cost must not grow
+// with the table: make bench-smoke gates live=800 at <= 2x live=50.
+func BenchmarkSpawn(b *testing.B) {
+	for _, live := range []int{50, 800} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {
+			// Rebuild the table every batch so the timed spawns never pile
+			// up dead or extra entries that would blur the two sizes.
+			const batch = 32
+			var k *Kernel
+			for i := 0; i < b.N; i++ {
+				if i%batch == 0 {
+					b.StopTimer()
+					k = New(simclock.New(), Config{})
+					for j := 0; j < live; j++ {
+						k.Spawn(SpawnConfig{Name: "native", Uid: SystemUid, OomScoreAdj: SystemAdj, MemoryKB: 1})
+					}
+					b.StartTimer()
+				}
+				k.Spawn(SpawnConfig{Name: "app", Uid: FirstAppUid + Uid(i%batch), OomScoreAdj: CachedAppMinAdj})
+			}
+		})
 	}
 }

@@ -118,45 +118,100 @@ type entry struct {
 	ref    *binder.BinderRef
 	link   *binder.DeathLink
 	caller kernel.Pid
-	uid    kernel.Uid
 	pkg    string
+	// pos is the entry's index in its entryList.
+	pos int
+}
+
+// entryList is one method's retained registrations in registration
+// order. Dropping an entry is O(1) amortised: its slot becomes a nil
+// tombstone, and the slice is compacted in order once tombstones
+// outnumber live entries. Readers go through each, which skips the
+// tombstones; live is the exact registration count.
+type entryList struct {
+	es   []*entry
+	live int
+}
+
+func (l *entryList) add(e *entry) {
+	e.pos = len(l.es)
+	l.es = append(l.es, e)
+	l.live++
+}
+
+// each calls fn on the live entries in registration order until fn
+// returns false. A nil list has no entries. fn must not add or remove
+// entries, except that the entry it was just handed may be removed if fn
+// then returns false.
+func (l *entryList) each(fn func(*entry) bool) {
+	if l == nil {
+		return
+	}
+	for _, e := range l.es {
+		if e != nil && !fn(e) {
+			return
+		}
+	}
+}
+
+// remove drops e if it is still listed. Vacated slots are cleared, so a
+// dropped entry is not reachable through the backing array.
+func (l *entryList) remove(e *entry) {
+	if e.pos >= len(l.es) || l.es[e.pos] != e {
+		return
+	}
+	l.es[e.pos] = nil
+	l.live--
+	if len(l.es) > 2*l.live {
+		n := 0
+		for _, x := range l.es {
+			if x != nil {
+				x.pos = n
+				l.es[n] = x
+				n++
+			}
+		}
+		clear(l.es[n:])
+		l.es = l.es[:n]
+	}
 }
 
 // Service is one instantiated system service.
 type Service struct {
-	meta   catalog.Service
-	host   *kernel.Process
-	driver *binder.Driver
-	clock  *simclock.Clock
-	perms  *permissions.Manager
+	*definition
+	host  *kernel.Process
+	clock *simclock.Clock
+	perms *permissions.Manager
 
 	// rng is seeded lazily on the first jitter draw: with 104 services per
 	// device, eager seeding dominates both boot and clone cost, and most
-	// services in a run are never called. rngSeed is the full mixed seed;
-	// seedMix is the per-service component, kept so a clone onto a
-	// different device seed can recompute rngSeed without rehashing.
+	// services in a run are never called. rngSeed is the full mixed seed.
 	rng     *rand.Rand
 	rngSeed int64
-	seedMix int64
 
 	stub *binder.LocalBinder
-	// transactor caches the dispatch closure handed to the driver. It
-	// binds only the Service pointer, which is stable for a slab entry,
-	// so a recycled clone (CloneInto onto the same dst) reuses it instead
-	// of allocating one closure per service per trial.
-	transactor binder.Transactor
-	methods    map[binder.TxCode]*method
-	codes      map[string]binder.TxCode
 
 	// entries holds retained registrations per catalogued method name.
-	entries map[string][]*entry
+	entries map[string]*entryList
 	// member holds the single member-field slot per caller for
 	// BehaviourMemberOverwrite methods (keyed method|pid).
 	member map[string]*entry
 
 	calls  uint64
 	objSeq uint64
-	quota  int
+}
+
+// definition is the part of a service that never changes after New. The
+// template and all of its clones share it, so a clone's Service holds
+// only per-device state.
+type definition struct {
+	meta catalog.Service
+	// seedMix is the per-service seed component, kept so a clone onto a
+	// different device seed can recompute rngSeed without rehashing.
+	seedMix int64
+	methods map[binder.TxCode]*method
+	codes   map[string]binder.TxCode
+	quota   int
 }
 
 // Config assembles a Service.
@@ -190,20 +245,20 @@ func New(cfg Config, sm *binder.ServiceManager) (*Service, error) {
 	h.Write([]byte(cfg.Meta.Name))
 	mix := int64(h.Sum64())
 	s := &Service{
-		meta:    cfg.Meta,
+		definition: &definition{
+			meta:    cfg.Meta,
+			seedMix: mix,
+			methods: make(map[binder.TxCode]*method),
+			codes:   make(map[string]binder.TxCode),
+			quota:   cfg.UniversalQuota,
+		},
 		host:    cfg.Host,
-		driver:  cfg.Driver,
 		clock:   cfg.Clock,
 		perms:   cfg.Perms,
 		rngSeed: cfg.Seed ^ mix,
-		seedMix: mix,
-		methods: make(map[binder.TxCode]*method),
-		codes:   make(map[string]binder.TxCode),
 	}
-	s.quota = cfg.UniversalQuota
 	s.buildMethodTable(cfg.Ifaces)
-	s.transactor = binder.TransactorFunc(s.onTransact)
-	s.stub = cfg.Driver.NewLocalBinder(cfg.Host, cfg.Meta.Class, s.transactor)
+	s.stub = cfg.Driver.NewLocalBinder(cfg.Host, cfg.Meta.Class, (*dispatcher)(s))
 	if err := sm.AddService(cfg.Meta.Name, s.stub); err != nil {
 		return nil, err
 	}
@@ -255,27 +310,26 @@ func (s *Service) rand() *rand.Rand {
 // driver node in boot order; no ServiceManager registration runs — the
 // clone's registry resolves names through the shared frozen table.
 func (s *Service) CloneInto(dst *Service, host *kernel.Process, driver *binder.Driver, clock *simclock.Clock, perms *permissions.Manager, seed int64) {
-	tr := dst.transactor
 	*dst = Service{
-		meta:    s.meta,
-		host:    host,
-		driver:  driver,
-		clock:   clock,
-		perms:   perms,
-		rngSeed: seed ^ s.seedMix,
-		seedMix: s.seedMix,
-		methods: s.methods,
-		codes:   s.codes,
-		calls:   s.calls,
-		objSeq:  s.objSeq,
-		quota:   s.quota,
+		definition: s.definition,
+		host:       host,
+		clock:      clock,
+		perms:      perms,
+		rngSeed:    seed ^ s.seedMix,
+		calls:      s.calls,
+		objSeq:     s.objSeq,
 	}
-	if tr == nil {
-		tr = binder.TransactorFunc(dst.onTransact)
-	}
-	dst.transactor = tr
-	dst.stub = driver.NewLocalBinder(host, s.meta.Class, tr)
+	dst.stub = driver.NewLocalBinder(host, s.meta.Class, (*dispatcher)(dst))
 }
+
+// dispatcher is the Transactor handed to the driver for a service's
+// stub. Converting the *Service pointer allocates nothing, unlike a
+// method-value closure, which would cost one allocation per service on
+// every boot and clone.
+type dispatcher Service
+
+// OnTransact implements binder.Transactor.
+func (d *dispatcher) OnTransact(call *binder.Call) error { return (*Service)(d).onTransact(call) }
 
 // Name returns the ServiceManager name.
 func (s *Service) Name() string { return s.meta.Name }
@@ -313,13 +367,18 @@ func (s *Service) MethodNames() []string {
 }
 
 // EntryCount returns the retained registrations for a method.
-func (s *Service) EntryCount(methodName string) int { return len(s.entries[methodName]) }
+func (s *Service) EntryCount(methodName string) int {
+	if l := s.entries[methodName]; l != nil {
+		return l.live
+	}
+	return 0
+}
 
 // TotalEntries returns all retained registrations of the service.
 func (s *Service) TotalEntries() int {
 	n := 0
-	for _, es := range s.entries {
-		n += len(es)
+	for _, l := range s.entries {
+		n += l.live
 	}
 	return n
 }
@@ -391,7 +450,7 @@ func (s *Service) handleCatalogued(m *method, call *binder.Call) error {
 			}
 		}
 	}
-	post := s.chargeExec(m.spec.Cost, len(s.entries[m.name]))
+	post := s.chargeExec(m.spec.Cost, s.EntryCount(m.name))
 	if variant > 0 {
 		s.clock.Advance(time.Duration(variant) * PathShift)
 	}
@@ -453,7 +512,7 @@ func (s *Service) handleCatalogued(m *method, call *binder.Call) error {
 // process exits" (paper §II-A).
 func (s *Service) retain(methodName string, ref *binder.BinderRef, call *binder.Call, pkg string) error {
 	ref.Retain()
-	e := &entry{ref: ref, caller: call.SenderPid, uid: call.SenderUid, pkg: pkg}
+	e := &entry{ref: ref, caller: call.SenderPid, pkg: pkg}
 	link, err := ref.Binder().LinkToDeath(func() { s.dropEntry(methodName, e) })
 	if err != nil && !errors.Is(err, binder.ErrLocalBinder) {
 		ref.Release()
@@ -461,19 +520,20 @@ func (s *Service) retain(methodName string, ref *binder.BinderRef, call *binder.
 	}
 	e.link = link
 	if s.entries == nil {
-		s.entries = make(map[string][]*entry)
+		s.entries = make(map[string]*entryList)
 	}
-	s.entries[methodName] = append(s.entries[methodName], e)
+	l := s.entries[methodName]
+	if l == nil {
+		l = &entryList{}
+		s.entries[methodName] = l
+	}
+	l.add(e)
 	return nil
 }
 
 func (s *Service) dropEntry(methodName string, e *entry) {
-	es := s.entries[methodName]
-	for i, cur := range es {
-		if cur == e {
-			s.entries[methodName] = append(es[:i], es[i+1:]...)
-			break
-		}
+	if l := s.entries[methodName]; l != nil {
+		l.remove(e)
 	}
 	if e.link != nil {
 		e.link.Unlink()
@@ -483,32 +543,40 @@ func (s *Service) dropEntry(methodName string, e *entry) {
 
 func (s *Service) countByPid(methodName string, pid kernel.Pid) int {
 	n := 0
-	for _, e := range s.entries[methodName] {
+	s.entries[methodName].each(func(e *entry) bool {
 		if e.caller == pid {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
 func (s *Service) countByPackage(methodName, pkg string) int {
 	n := 0
-	for _, e := range s.entries[methodName] {
+	s.entries[methodName].each(func(e *entry) bool {
 		if e.pkg == pkg {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
 // handleUnregister releases the caller's oldest registration.
 func (s *Service) handleUnregister(methodName string, call *binder.Call) error {
-	for _, e := range s.entries[methodName] {
+	var oldest *entry
+	s.entries[methodName].each(func(e *entry) bool {
 		if e.caller == call.SenderPid {
-			s.dropEntry(methodName, e)
-			call.Reply.WriteInt32(0)
-			return nil
+			oldest = e
+			return false
 		}
+		return true
+	})
+	if oldest != nil {
+		s.dropEntry(methodName, oldest)
+		call.Reply.WriteInt32(0)
+		return nil
 	}
 	return fmt.Errorf("%w: %s.%s pid %d", ErrNoEntry, s.meta.Name, methodName, call.SenderPid)
 }
@@ -529,7 +597,7 @@ func (s *Service) handleInnocent(m *method, call *binder.Call) error {
 	}
 	switch m.behaviour {
 	case BehaviourPlain:
-		call.Reply.WriteInt32(int32(len(s.entries[m.name])))
+		call.Reply.WriteInt32(int32(s.EntryCount(m.name)))
 		return nil
 	case BehaviourThreadOnly:
 		// Thread.nativeCreate takes a JGR and Thread::CreateNativeThread
@@ -563,7 +631,7 @@ func (s *Service) handleInnocent(m *method, call *binder.Call) error {
 			}
 			prev.ref.Release()
 		}
-		e := &entry{ref: ref, caller: call.SenderPid, uid: call.SenderUid}
+		e := &entry{ref: ref, caller: call.SenderPid}
 		if link, err := ref.Binder().LinkToDeath(func() { s.dropMember(key, e) }); err == nil {
 			e.link = link
 		}
@@ -599,7 +667,11 @@ func (s *Service) NotifyListeners(methodName string, payload string) int {
 	delivered := 0
 	// Copy: a callback erroring can trigger death handling that mutates
 	// the entry list.
-	entries := append([]*entry(nil), s.entries[methodName]...)
+	entries := make([]*entry, 0, s.EntryCount(methodName))
+	s.entries[methodName].each(func(e *entry) bool {
+		entries = append(entries, e)
+		return true
+	})
 	data, reply := binder.ObtainParcel(), binder.ObtainParcel()
 	defer data.Recycle()
 	defer reply.Recycle()
